@@ -10,11 +10,26 @@ import repro.graph._
 sealed trait DensityNotion extends Serializable {
   def name: String
 
-  /** Instance node sets under this notion (edges / h-cliques / ψ-instances). */
-  def instances(g: Graph): Array[Array[Int]]
+  /** The notion's instances and flow-network layout for the exact kernel. */
+  def family: InstanceFamily
 
-  /** All densest subgraphs + maximum-sized one + exact optimum density. */
-  def allDensest(g: Graph, cap: Int): DensityNotion.World
+  /** Instance node sets under this notion (edges / h-cliques / ψ-instances). */
+  final def instances(g: Graph): Array[Array[Int]] = family.instances(g)
+
+  /** All densest subgraphs (at most `cap`) + maximum-sized one + exact
+    * optimum density.
+    */
+  final def allDensest(g: Graph, cap: Int): InstanceDensest.Result =
+    InstanceDensest.allDensest(g, family, cap)
+
+  /** Exact optimum density ρ* as a reduced fraction ((0, 1) without
+    * instances) — the kernel's density phase, without the final flow and
+    * the enumeration.
+    */
+  final def maxDensity(g: Graph): (Long, Long) = {
+    val (a, b, _) = InstanceDensest.maxDensity(g, family)
+    (a, b)
+  }
 
   /** Density of `nodes` inside world `g`, as an exact rational. */
   final def densityOf(g: Graph, nodes: Set[Int]): (Long, Long) = {
@@ -36,42 +51,18 @@ sealed trait DensityNotion extends Serializable {
 
 object DensityNotion {
 
-  /** Per-world result: the densest family (possibly capped), its union, and
-    * the optimum density ρ* as a reduced rational.
-    */
-  final case class World(
-      all: Seq[Array[Int]],
-      capped: Boolean,
-      maxSized: Array[Int],
-      num: Long,
-      den: Long,
-  )
-
   case object Edge extends DensityNotion {
     val name = "edge"
-    def instances(g: Graph): Array[Array[Int]] =
-      Array.tabulate(g.m)(i => Array(g.edgeU(i), g.edgeV(i)))
-    def allDensest(g: Graph, cap: Int): World = {
-      val r = EdgeDensest.allDensest(g, cap)
-      World(r.all, r.capped, r.maxSized, r.densityNum, r.densityDen)
-    }
+    val family: InstanceFamily = InstanceFamily.Edge
   }
 
   final case class Clique(h: Int) extends DensityNotion {
     val name = s"$h-clique"
-    def instances(g: Graph): Array[Array[Int]] = Cliques.enumerate(g, h)
-    def allDensest(g: Graph, cap: Int): World = {
-      val r = CliqueDensest.allDensest(g, h, cap)
-      World(r.all, r.capped, r.maxSized, r.densityNum, r.densityDen)
-    }
+    val family: InstanceFamily = InstanceFamily.Clique(h)
   }
 
   final case class Pat(psi: Pattern) extends DensityNotion {
     val name = psi.name
-    def instances(g: Graph): Array[Array[Int]] = psi.instances(g)
-    def allDensest(g: Graph, cap: Int): World = {
-      val r = PatternDensest.allDensest(g, psi, cap)
-      World(r.all, r.capped, r.maxSized, r.densityNum, r.densityDen)
-    }
+    val family: InstanceFamily = InstanceFamily.Pat(psi)
   }
 }

@@ -142,10 +142,10 @@ object MPDS {
       .map { i =>
         val (ug, ss) = bc.value
         val world = ug.world(sampler.worldForIndex(ug, i, theta, seed))
-        val opt = notion.allDensest(world, 1) // density only; 1 witness
+        val (optNum, optDen) = notion.maxDensity(world)
         ss.map { u =>
           val (num, den) = notion.densityOf(world, u)
-          if (num > 0 && num * opt.den == opt.num * den) 1L else 0L
+          if (num > 0 && num * optDen == optNum * den) 1L else 0L
         }.toArray
       }
       .collect()

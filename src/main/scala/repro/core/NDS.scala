@@ -50,11 +50,11 @@ object NDS {
             val subs = notion.heuristicDense(world)
             if (subs.isEmpty) Array.empty[Int] else subs.flatten.distinct.sorted.toArray
           } else notion.allDensest(world, 1).maxSized
-        cand.mkString(",")
+        cand
       }
       .collect()
       .toSeq
-      .map(s => if (s.isEmpty) Set.empty[Int] else s.split(",").map(_.toInt).toSet)
+      .map(_.toSet)
   }
 
   /** Full Algorithm 5. */

@@ -80,8 +80,4 @@ object Cliques {
     }
     (lambdas.toArray, comps.map(_.toArray).toArray)
   }
-
-  /** Count cliques fully contained in the mask. */
-  def countInside(cliques: Array[Array[Int]], inside: Array[Boolean]): Long =
-    cliques.count(_.forall(inside)).toLong
 }

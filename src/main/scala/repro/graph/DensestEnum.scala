@@ -12,7 +12,8 @@ object DensestEnum {
   /** Result of an all-densest enumeration.
     *
     * @param all       node-id sets of all densest subgraphs (may be capped)
-    * @param capped    true iff `maxResults` stopped the enumeration early
+    * @param capped    true iff the family has more than `maxResults` members,
+    *                  so `all` holds only the first `maxResults`
     * @param maxSized  the maximum-sized densest subgraph = union of all
     *                  densest subgraphs ([58]; Algorithm 5 line 4)
     */
@@ -71,13 +72,14 @@ object DensestEnum {
     val results = mutable.ArrayBuffer.empty[Array[Int]]
     var capped = false
 
-    def emit(closure: java.util.BitSet): Unit = {
-      val b = mutable.ArrayBuilder.make[Int]
-      var c = closure.nextSetBit(0)
-      while (c >= 0) { b ++= compV(c); c = closure.nextSetBit(c + 1) }
-      results += b.result().sorted
-      if (results.length >= maxResults) capped = true
-    }
+    def emit(closure: java.util.BitSet): Unit =
+      if (results.length == maxResults) capped = true
+      else {
+        val b = mutable.ArrayBuilder.make[Int]
+        var c = closure.nextSetBit(0)
+        while (c >= 0) { b ++= compV(c); c = closure.nextSetBit(c + 1) }
+        results += b.result().sorted
+      }
 
     // Algorithm 3. `c1Closure` maintains C1 ∪ des(C1); candidates are only
     // components with V-nodes (line 5); each recursion branch fixes one

@@ -1,6 +1,6 @@
 package repro.uncertain
 
-import repro.graph.{Cliques, FlowNetwork, Pattern}
+import repro.graph.{Cliques, InstanceDensest, Pattern}
 
 /** Expected densest subgraph (Zou [44]) and its clique/pattern extensions
   * (Appendix C) — the main baseline of §VI-B.
@@ -8,17 +8,16 @@ import repro.graph.{Cliques, FlowNetwork, Pattern}
   * By linearity of expectation the expected ψ-density of U equals
   * Σ_{embeddings inside U} Pr[embedding's edges exist] / |U| (Theorem 7),
   * i.e. a *weighted* instance-densest-subgraph problem. We solve it exactly
-  * (up to the 1e-6 weight quantisation documented in DESIGN.md) with
-  * Dinkelbach iteration on the Algorithm 7 flow network, using instance
-  * weights scaled to integers.
+  * (up to the 1e-6 weight quantisation documented in DESIGN.md) with the
+  * exact kernel's Dinkelbach iteration on the Algorithm 7 flow network
+  * (`InstanceDensest.maxWeightedDensity`), using instance weights scaled
+  * to integers.
   */
 object EDS {
 
   private val Scale = 1000000L
 
   final case class Result(nodes: Set[Int], expectedDensity: Double)
-
-  private def gcd(a: Long, b: Long): Long = if (b == 0) math.max(a, 1) else gcd(b, a % b)
 
   /** O(1) edge-probability lookup. */
   private final class EdgeProbs(g: UncertainGraph) {
@@ -31,79 +30,17 @@ object EDS {
     }
   }
 
-  /** Exact maximum weighted-instance density: instances as node sets with
-    * integer weights, pattern-style flow network with q = instance size.
-    * Returns (witness node set, density numerator, denominator) in scaled
-    * weight units.
-    */
-  private[uncertain] def weightedDensest(
-      n: Int,
-      sets: Array[Array[Int]],
-      weights: Array[Long],
-      q: Long,
-  ): (Set[Int], Long, Long) = {
-    val keep = sets.indices.filter(weights(_) > 0).toArray
-    if (keep.isEmpty) return (Set.empty, 0L, 1L)
-    val ss = keep.map(sets)
-    val ww = keep.map(weights)
-    val deg = new Array[Long](n)
-    for (i <- ss.indices; v <- ss(i)) deg(v) += ww(i)
-    val active = Array.tabulate(n)(v => deg(v) > 0)
-    val totalW = ww.sum
-
-    def inside(mask: Array[Boolean]): Long = {
-      var s = 0L
-      for (i <- ss.indices; if ss(i).forall(mask)) s += ww(i)
-      s
-    }
-
-    def network(a: Long, b: Long): (FlowNetwork, Array[Int]) = {
-      val nodes = (0 until n).filter(active).toArray
-      val id = Array.fill(n)(-1)
-      for (i <- nodes.indices) id(nodes(i)) = i + 2
-      val net = new FlowNetwork(nodes.length + ss.length + 2)
-      for (v <- nodes) {
-        net.addArc(0, id(v), deg(v) * b)
-        net.addArc(id(v), 1, q * a)
-      }
-      for (gi <- ss.indices) {
-        val gid = nodes.length + 2 + gi
-        for (v <- ss(gi)) {
-          net.addArc(id(v), gid, ww(gi) * b)
-          net.addArc(gid, id(v), ww(gi) * (q - 1) * b)
-        }
-      }
-      (net, nodes)
-    }
-
-    // Start from the full active set; Dinkelbach strictly improves.
-    var bestMask = active.clone()
-    var a = inside(bestMask)
-    var b = bestMask.count(identity).toLong
-    var improved = true
-    while (improved) {
-      val gg = gcd(a, b)
-      val (net, nodes) = network(a / gg, b / gg)
-      val flow = net.maxFlow(0, 1)
-      if (flow < q * totalW * (b / gg)) {
-        val cut = net.minCutSourceSide(0)
-        val v1 = new Array[Boolean](n)
-        for (i <- nodes.indices; if cut(i + 2)) v1(nodes(i)) = true
-        val w1 = inside(v1)
-        val n1 = v1.count(identity).toLong
-        require(n1 > 0 && w1 * b > a * n1, "Dinkelbach step must strictly improve")
-        a = w1; b = n1; bestMask = v1
-      } else improved = false
-    }
-    val gg = gcd(a, b)
-    ((0 until n).filter(bestMask(_)).toSet, a / gg, b / gg)
+  /** A node set of maximum weighted-instance density (scaled weights). */
+  private def weightedDensest(n: Int, sets: Array[Array[Int]], weights: Array[Long], q: Int): Set[Int] = {
+    val (_, _, mask) = InstanceDensest.maxWeightedDensity(n, sets, weights, q)
+    (0 until n).filter(mask(_)).toSet
   }
 
   /** Expected edge densest subgraph [44]. */
   def edge(g: UncertainGraph): Result = {
     val sets = Array.tabulate(g.m)(i => Array(g.edgeU(i), g.edgeV(i)))
     val w = g.prob.map(p => math.round(p * Scale))
-    val (nodes, _, _) = weightedDensest(g.n, sets, w, 2)
+    val nodes = weightedDensest(g.n, sets, w, 2)
     Result(nodes, expectedEdgeDensity(g, nodes))
   }
 
@@ -117,7 +54,7 @@ object EDS {
       p
     }
     val w = cliques.map(c => math.round(cliqueProb(c) * Scale))
-    val (nodes, _, _) = weightedDensest(g.n, cliques, w, h.toLong)
+    val nodes = weightedDensest(g.n, cliques, w, h)
     val ed =
       if (nodes.isEmpty) 0.0
       else cliques.toSeq.collect { case c if c.forall(nodes.contains) => cliqueProb(c) }.sum / nodes.size
@@ -138,7 +75,7 @@ object EDS {
     }
     val sets = embs.map(_._1)
     val w = embs.map(e => math.round(embProb(e._2) * Scale))
-    val (nodes, _, _) = weightedDensest(g.n, sets, w, psi.numNodes.toLong)
+    val nodes = weightedDensest(g.n, sets, w, psi.numNodes)
     val ed =
       if (nodes.isEmpty) 0.0
       else embs.toSeq.collect { case (s, e) if s.forall(nodes.contains) => embProb(e) }.sum / nodes.size

@@ -18,6 +18,9 @@ final case class UncertainGraph(
 ) extends Serializable {
   require(edgeU.length == edgeV.length && edgeU.length == prob.length)
   require(prob.forall(p => p > 0.0 && p <= 1.0), "edge probabilities must lie in (0, 1]")
+  for (i <- edgeU.indices)
+    require(edgeU(i) >= 0 && edgeU(i) < n && edgeV(i) >= 0 && edgeV(i) < n,
+      s"edge (${edgeU(i)}, ${edgeV(i)}) has an endpoint outside [0, $n)")
 
   def m: Int = edgeU.length
 

@@ -7,9 +7,9 @@ class CliqueDensestSpec extends AnyFunSuite {
 
   test("h=2 clique-densest coincides with edge-densest") {
     Check.forAllGraphs(40, 3, 9) { g =>
-      val ce = CliqueDensest.allDensest(g, 2)
-      val ee = EdgeDensest.allDensest(g)
-      assert(ce.densityNum == ee.densityNum && ce.densityDen == ee.densityDen)
+      val ce = InstanceDensest.allDensest(g, InstanceFamily.Clique(2))
+      val ee = InstanceDensest.allDensest(g, InstanceFamily.Edge)
+      assert(ce.num == ee.num && ce.den == ee.den)
       assert(ce.all.map(_.toSet).toSet == ee.all.map(_.toSet).toSet)
       assert(ce.maxSized.toSet == ee.maxSized.toSet)
     }
@@ -19,8 +19,8 @@ class CliqueDensestSpec extends AnyFunSuite {
     Check.forAllGraphs(50, 3, 9) { g =>
       val inst = Cliques.enumerate(g, 3)
       val (bn, bd, all) = BruteForce.allInstanceDensest(g.n, inst)
-      val r = CliqueDensest.allDensest(g, 3)
-      assert(r.densityNum == bn && r.densityDen == bd, s"got ${r.densityNum}/${r.densityDen} want $bn/$bd")
+      val r = InstanceDensest.allDensest(g, InstanceFamily.Clique(3))
+      assert(r.num == bn && r.den == bd, s"got ${r.num}/${r.den} want $bn/$bd")
       assert(r.all.map(_.toSet).toSet == all)
       assert(r.maxSized.toSet == all.flatten)
     }
@@ -30,15 +30,15 @@ class CliqueDensestSpec extends AnyFunSuite {
     Check.forAllGraphs(30, 4, 8) { g =>
       val inst = Cliques.enumerate(g, 4)
       val (bn, bd, all) = BruteForce.allInstanceDensest(g.n, inst)
-      val r = CliqueDensest.allDensest(g, 4)
-      assert(r.densityNum == bn && r.densityDen == bd)
+      val r = InstanceDensest.allDensest(g, InstanceFamily.Clique(4))
+      assert(r.num == bn && r.den == bd)
       assert(r.all.map(_.toSet).toSet == all)
     }
   }
 
   test("triangle-free graph has no 3-clique densest subgraph") {
     val c4 = Graph.fromEdges(4, Seq((0, 1), (1, 2), (2, 3), (3, 0)))
-    val r = CliqueDensest.allDensest(c4, 3)
+    val r = InstanceDensest.allDensest(c4, InstanceFamily.Clique(3))
     assert(r.all.isEmpty && r.density == 0.0)
   }
 
@@ -47,8 +47,8 @@ class CliqueDensestSpec extends AnyFunSuite {
     // families are each triangle and their union (cf. Figure 4).
     val g = Graph.fromEdges(6,
       Seq((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)))
-    val r = CliqueDensest.allDensest(g, 3)
-    assert(r.densityNum == 1 && r.densityDen == 3)
+    val r = InstanceDensest.allDensest(g, InstanceFamily.Clique(3))
+    assert(r.num == 1 && r.den == 3)
     val got = r.all.map(_.toSet).toSet
     assert(got.contains(Set(0, 1, 2)) && got.contains(Set(3, 4, 5)))
     assert(r.maxSized.toSet == Set(0, 1, 2, 3, 4, 5))

@@ -70,4 +70,15 @@ class UncertainGraphSpec extends AnyFunSuite {
       UncertainGraph.fromEdges(2, Seq((0, 1, 1.5)))
     }
   }
+
+  test("node ids outside [0, n) are rejected, naming the edge") {
+    val high = intercept[IllegalArgumentException] {
+      UncertainGraph.fromEdges(3, Seq((0, 1, 0.5), (1, 3, 0.5)))
+    }
+    assert(high.getMessage.contains("(1, 3)"))
+    val low = intercept[IllegalArgumentException] {
+      UncertainGraph.fromEdges(3, Seq((-1, 2, 0.5)))
+    }
+    assert(low.getMessage.contains("(-1, 2)"))
+  }
 }
